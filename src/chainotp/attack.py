@@ -155,14 +155,13 @@ def attack_ledger_delay(
         )
     finally:
         provider.submit_delay_blocks = 0
-    misuse_events = [
-        e for e in ledger.events if e.kind == EVENT_MISUSE_ATTEMPT
-    ]
     assert provider.contract is not None
+    events = ledger.events_for(provider.contract.address)
+    misused = any(e.kind == EVENT_MISUSE_ATTEMPT and e.otp in wallet.otps for e in events)
     evidence = check_misuse(wallet, ledger, provider.contract)
     return AttackOutcome(
         authenticated=outcome.granted,
-        detected=bool(misuse_events) or evidence is not None,
+        detected=misused or evidence is not None,
         evidence=evidence,
         steps_reached=outcome.steps_completed,
         note=outcome.reason,

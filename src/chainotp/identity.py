@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .crypto import Digest, KeyPair, digest, sign, verify
-from .wire import be64, lp, pack_fields, read_lp
+from .wire import Reader, be64, lp, pack_fields
 
 _CRED_VERSION = 1
 _CRED_TAG = b"vc-v1"
@@ -93,21 +93,14 @@ class VerifiableCredential:
 
     @classmethod
     def from_export(cls, data: bytes) -> "VerifiableCredential":
-        head = _CRED_TAG + bytes([_CRED_VERSION])
-        if data[:len(head)] != head:
-            raise ValueError("bad credential header")
-        off = len(head)
-        did_raw, off = read_lp(data, off)
-        pk, off = read_lp(data, off)
-        claims_raw, off = read_lp(data, off)
-        issuer_raw, off = read_lp(data, off)
-        sig, off = read_lp(data, off)
+        with Reader(data, _CRED_TAG + bytes([_CRED_VERSION])) as r:
+            did_raw, pk, claims_raw, issuer_raw, sig = r.lp(), r.lp(), r.lp(), r.lp(), r.lp()
         claims = []
-        coff = 0
-        while coff < len(claims_raw):
-            key, coff = read_lp(claims_raw, coff)
-            value, coff = read_lp(claims_raw, coff)
-            claims.append((key.decode(), value.decode()))
+        c = Reader(claims_raw)
+        while c.more():
+            claims.append((c.lp().decode(), c.lp().decode()))
+        if _canonical_claims(dict(claims)) != claims_raw:
+            raise ValueError("claims are not sorted by unique key")
         return cls(
             did=Did.parse(did_raw.decode()),
             user_public_key=pk,

@@ -18,7 +18,7 @@ import math
 
 from . import merkle
 from .crypto import Digest, OtpValue, digest
-from .wire import be64, pack_fields
+from .wire import Reader, be64, pack_fields
 
 DEPLOY_GAS = 292_000
 INSERT_OTP_GAS = 48_000
@@ -134,8 +134,9 @@ class InclusionProof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "InclusionProof":
-        height = int.from_bytes(data[:8], "big")
-        return cls(block_height=height, merkle_proof=merkle.MerkleProof.from_bytes(data[8:]))
+        with Reader(data) as r:
+            height = int.from_bytes(r.fixed(8), "big")
+            return cls(block_height=height, merkle_proof=merkle.MerkleProof.read(r))
 
 
 @dataclass
@@ -307,9 +308,6 @@ class Ledger:
                 still_delayed.append((remaining - 1, tx))
         self._delayed = still_delayed
         return block
-
-    def find_tx(self, tx_id: Digest) -> Optional[LedgerTx]:
-        return self._tx_index.get(tx_id)
 
     def inclusion_proof(self, tx_id: Digest) -> InclusionProof:
         tx = self._tx_index.get(tx_id)

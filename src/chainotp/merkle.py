@@ -9,14 +9,16 @@ independent of the prover.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 from .crypto import DIGEST_LEN, Digest, digest
-from .wire import read_u32le, u32le
+from .wire import Reader, u32le
 
 _MAGIC = b"MKT1"
 _VERSION = 1
+_ENTRY = struct.Struct(f"?{DIGEST_LEN}s")  # side flag, sibling digest
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -39,16 +41,18 @@ class MerkleProof:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MerkleProof":
-        leaf_index, off = read_u32le(data, 0)
-        count, off = read_u32le(data, off)
-        siblings = []
-        for _ in range(count):
-            if off + 1 + DIGEST_LEN > len(data):
-                raise ValueError("truncated proof")
-            is_left = data[off] == 1
-            node = data[off + 1:off + 1 + DIGEST_LEN]
-            siblings.append((node, is_left))
-            off += 1 + DIGEST_LEN
+        with Reader(data) as r:
+            return cls.read(r)
+
+    @classmethod
+    def read(cls, r: Reader) -> "MerkleProof":
+        """Read a proof that sits unframed inside a larger value."""
+        leaf_index = r.u32()
+        count = r.u32()
+        path = r.fixed(count * _ENTRY.size)
+        if path[::_ENTRY.size].strip(b"\x00\x01"):
+            raise ValueError("proof side flag must be 0x00 or 0x01")
+        siblings = [(node, is_left) for is_left, node in _ENTRY.iter_unpack(path)]
         return cls(leaf_index=leaf_index, siblings=tuple(siblings))
 
 
@@ -70,18 +74,9 @@ class MerkleTree:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MerkleTree":
-        if data[:4] != _MAGIC:
-            raise ValueError("bad tree magic")
-        if data[4] != _VERSION:
-            raise ValueError(f"unsupported tree version {data[4]}")
-        leaf_count, off = read_u32le(data, 5)
-        n_nodes = 2 * leaf_count - 1
-        if len(data) != off + n_nodes * DIGEST_LEN:
-            raise ValueError("tree payload length mismatch")
-        nodes = tuple(
-            data[off + i * DIGEST_LEN: off + (i + 1) * DIGEST_LEN] for i in range(n_nodes)
-        )
-        return cls(leaf_count=leaf_count, nodes=nodes)
+        with Reader(data, _MAGIC + bytes([_VERSION])) as r:
+            leaf_count = r.u32()
+            return cls(leaf_count=leaf_count, nodes=r.array(2 * leaf_count - 1, DIGEST_LEN))
 
 
 def build_tree(leaves: Sequence[bytes]) -> MerkleTree:

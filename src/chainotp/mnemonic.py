@@ -51,10 +51,6 @@ class Mnemonic:
     def sentence(self) -> str:
         return " ".join(self.words)
 
-    @classmethod
-    def from_sentence(cls, text: str) -> "Mnemonic":
-        return cls(words=tuple(text.split()))
-
 
 def _checksum_bits(payload: bytes) -> int:
     return len(payload) * 8 // 32

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import mnemonic
-from .crypto import KeyPair, OtpValue, Seed, digest, prf, truncate_to_otp
+from .crypto import OTP_LEN, SEED_LEN, KeyPair, OtpValue, Seed, digest, prf, truncate_to_otp
 from .identity import Did, VerifiableCredential
 from .merkle import MerkleProof, MerkleTree, build_tree, prove
-from .wire import lp, read_lp, read_u32le, u32le
+from .wire import Reader, lp, u32le
 
 DEFAULT_CAPACITY = 1024
 
@@ -46,11 +46,8 @@ class AuthenticatorState:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AuthenticatorState":
-        if data[:4] != _AUTH_MAGIC or data[4] != _VERSION:
-            raise ValueError("bad authenticator container")
-        seed = data[5:37]
-        capacity, _ = read_u32le(data, 37)
-        return cls(seed=seed, capacity=capacity)
+        with Reader(data, _AUTH_MAGIC + bytes([_VERSION])) as r:
+            return cls(seed=r.fixed(SEED_LEN), capacity=r.u32())
 
 
 @dataclass(frozen=True)
@@ -139,24 +136,14 @@ class ClientWallet:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ClientWallet":
-        if data[:4] != _WALLET_MAGIC or data[4] != _VERSION:
-            raise ValueError("bad wallet container")
-        off = 5
-        public_key, off = read_lp(data, off)
-        secret_key, off = read_lp(data, off)
-        counter, off = read_u32le(data, off)
-        tree_raw, off = read_lp(data, off)
-        n, off = read_u32le(data, off)
-        otps = tuple(data[off + 16 * i: off + 16 * (i + 1)] for i in range(n))
-        off += 16 * n
-        did_raw, off = read_lp(data, off)
-        return cls(
-            keypair=KeyPair(public_key=public_key, secret_key=secret_key),
-            tree=MerkleTree.from_bytes(tree_raw),
-            otps=otps,
-            session_counter=counter,
-            did=Did.parse(did_raw.decode()) if did_raw else None,
-        )
+        with Reader(data, _WALLET_MAGIC + bytes([_VERSION])) as r:
+            keypair = KeyPair(public_key=r.lp(), secret_key=r.lp())
+            counter = r.u32()
+            tree = MerkleTree.from_bytes(r.lp())
+            otps = r.array(r.u32(), OTP_LEN)
+            did_raw = r.lp()
+        did = Did.parse(did_raw.decode()) if did_raw else None
+        return cls(keypair=keypair, tree=tree, otps=otps, session_counter=counter, did=did)
 
 
 def bootstrap_client(seed: Seed, n: int, keypair: KeyPair) -> ClientWallet:

@@ -23,6 +23,8 @@ from typing import Callable, Optional
 
 from . import mnemonic
 from .crypto import (
+    DIGEST_LEN,
+    OTP_LEN,
     Digest,
     KeyPair,
     OtpValue,
@@ -60,7 +62,7 @@ from .otp import (
     derive_precursor,
     new_authenticator,
 )
-from .wire import be64, lp, pack_fields, read_lp
+from .wire import Reader, be64, lp, pack_fields
 
 GRANTED = "granted"
 ABORTED_MISUSE = "aborted_misuse"
@@ -189,21 +191,11 @@ class AuthRequest1:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AuthRequest1":
-        if not data.startswith(b"auth-req-1"):
-            raise ValueError("not an auth-req-1 message")
-        off = len(b"auth-req-1")
-        did_raw, off = read_lp(data, off)
-        index_raw, off = read_lp(data, off)
-        otp, off = read_lp(data, off)
-        proof_raw, off = read_lp(data, off)
-        signature, off = read_lp(data, off)
-        return cls(
-            did=Did.parse(did_raw.decode()),
-            index=int.from_bytes(index_raw, "big"),
-            otp=otp,
-            proof=MerkleProof.from_bytes(proof_raw),
-            signature=signature,
-        )
+        with Reader(data, b"auth-req-1") as r:
+            return cls(
+                did=Did.parse(r.lp().decode()), index=int.from_bytes(r.lp(8), "big"),
+                otp=r.lp(OTP_LEN), proof=MerkleProof.from_bytes(r.lp()), signature=r.lp(),
+            )
 
 
 @dataclass(frozen=True)
@@ -228,21 +220,12 @@ class AuthRequest2:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AuthRequest2":
-        if not data.startswith(b"auth-req-2"):
-            raise ValueError("not an auth-req-2 message")
-        off = len(b"auth-req-2")
-        did_raw, off = read_lp(data, off)
-        tx_canonical, off = read_lp(data, off)
-        inclusion_raw, off = read_lp(data, off)
-        precursor, off = read_lp(data, off)
-        signature, off = read_lp(data, off)
-        return cls(
-            did=Did.parse(did_raw.decode()),
-            tx_canonical=tx_canonical,
-            inclusion=InclusionProof.from_bytes(inclusion_raw),
-            precursor=precursor,
-            signature=signature,
-        )
+        with Reader(data, b"auth-req-2") as r:
+            return cls(
+                did=Did.parse(r.lp().decode()), tx_canonical=r.lp(),
+                inclusion=InclusionProof.from_bytes(r.lp()), precursor=r.lp(OTP_LEN),
+                signature=r.lp(),
+            )
 
 
 def _registration_body(credential: VerifiableCredential, root: Digest) -> bytes:
@@ -388,14 +371,11 @@ class ServiceProvider:
     def register_user(self, registration: bytes, signature: bytes) -> Optional[ProviderUserRecord]:
         """Steps 9-10 of bootstrap: verify credentials, store the record.
         Returns None when verification fails (no record is created)."""
-        if not registration.startswith(b"bootstrap-reg"):
-            return None
         try:
-            off = len(b"bootstrap-reg")
-            cred_raw, off = read_lp(registration, off)
-            root, off = read_lp(registration, off)
-            credential = VerifiableCredential.from_export(cred_raw)
-        except (ValueError, IndexError):
+            with Reader(registration, b"bootstrap-reg") as r:
+                credential = VerifiableCredential.from_export(r.lp())
+                root = r.lp(DIGEST_LEN)
+        except ValueError:
             return None
         if not verify_credential(credential, self.trusted_issuer_key, self.revocations_source()):
             return None
@@ -592,20 +572,21 @@ class ServiceProvider:
     def apply_rekey(self, message: bytes, signature: bytes) -> bool:
         """Accept a new public key and root signed by the currently
         registered key. No identity-provider involvement."""
-        if not message.startswith(b"rekey"):
+        try:
+            with Reader(message, b"rekey") as r:
+                did_key = r.lp().decode()
+                new_pk = r.lp()
+                new_root = r.lp(DIGEST_LEN)
+        except ValueError:
             return False
-        off = len(b"rekey")
-        did_raw, off = read_lp(message, off)
-        new_pk, off = read_lp(message, off)
-        new_root, off = read_lp(message, off)
-        record = self.records.get(did_raw.decode())
+        record = self.records.get(did_key)
         if record is None or not verify(record.user_public_key, message, signature):
             return False
         record.user_public_key = new_pk
         record.merkle_root = new_root
         record.session_id = 0
         record.session_state = SESSION_IDLE
-        self.sessions.pop(did_raw.decode(), None)
+        self.sessions.pop(did_key, None)
         return True
 
     def migrate_account(self, old_did: Did, new_did: Did) -> None:

@@ -230,3 +230,22 @@ def test_malware_demo_narrative_runs():
     )
     assert any("finishes the session first" in line for line in lines)
     assert any("fails" in line for line in lines)
+
+
+def test_delay_detection_ignores_other_users_misuse():
+    # another user's misuse event on the same chain is no alarm for this one
+    world = World(seed=50)
+    victim = world.enroll("user0")
+    bystander = world.enroll("user1")
+    attack_stolen_client_secrets(victim.wallet, world.provider, world.ledger)
+    for _ in range(world.provider.abandon_after_blocks):
+        world.ledger.seal_block()
+    assert world.auth(victim).failed_step == 6  # victim's OTP 1 reused on chain
+    assert [e for e in world.ledger.events if e.kind == EVENT_MISUSE_ATTEMPT]
+    outcome = attack_ledger_delay(
+        12, bystander.user, bystander.authenticator, bystander.wallet,
+        world.provider, world.ledger,
+    )
+    assert not outcome.authenticated
+    assert not outcome.detected
+    assert outcome.evidence is None
