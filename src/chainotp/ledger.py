@@ -10,8 +10,9 @@ the evidence itself part of the chain.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 import json
 import math
@@ -169,24 +170,33 @@ def tx_root_over(tx_ids: list[Digest]) -> Digest:
 
 
 class Ledger:
-    """Serialized writer queue over FIFO-ordered blocks."""
+    """Serialized writer queue over FIFO-ordered blocks.
+
+    Headers are stored as blocks are sealed and events are indexed by
+    contract, so a login's reads neither rebuild nor scan the chain."""
 
     def __init__(self, profile: ChainProfile = PROFILES["mainnet"]) -> None:
         self.profile = profile
         self.blocks: list[LedgerBlock] = []
         self.events: list[Event] = []
         self.contracts: dict[str, RegistryContract] = {}
-        self._pending: list[LedgerTx] = []
+        self._headers: list[BlockHeader] = []  # _headers[h - 1] is at height h
+        self._events_by_contract: dict[str, list[Event]] = {}
+        self._pending: deque[LedgerTx] = deque()
         self._delayed: list[tuple[int, LedgerTx]] = []
         self._seq = 0
         self._tx_index: dict[Digest, LedgerTx] = {}
+        # The tx tree of the block last proved: a block's proofs are asked
+        # for together, and one tree bounds the memory to one block.
+        self._proof_tree: Optional[tuple[int, merkle.MerkleTree]] = None
 
     @property
     def height(self) -> int:
         return len(self.blocks)
 
     def headers(self) -> tuple[BlockHeader, ...]:
-        return tuple(b.header for b in self.blocks)
+        """Every header in height order: element h - 1 is at height h."""
+        return tuple(self._headers)
 
     def pending_count(self) -> int:
         return len(self._pending) + len(self._delayed)
@@ -252,6 +262,12 @@ class Ledger:
         self._enqueue(tx, delay_blocks=delay_blocks)
         return tx
 
+    def _emit(self, kind: str, tx: LedgerTx, height: int) -> None:
+        assert tx.new_otp is not None
+        event = Event(height, kind, tx.contract_address, tx.new_otp, tx.tx_id)
+        self.events.append(event)
+        self._events_by_contract.setdefault(tx.contract_address, []).append(event)
+
     def _execute(self, tx: LedgerTx, height: int) -> None:
         if tx.kind == "deploy":
             tx.status = TX_SUCCESS
@@ -260,24 +276,18 @@ class Ledger:
         assert tx.new_otp is not None
         if tx.new_otp in contract.last_used:
             tx.status = TX_REJECTED_REUSE
-            self.events.append(
-                Event(height, EVENT_MISUSE_ATTEMPT, tx.contract_address, tx.new_otp, tx.tx_id)
-            )
+            self._emit(EVENT_MISUSE_ATTEMPT, tx, height)
             return
         if tx.prev_otp is not None and tx.prev_otp not in contract.last_used:
             # Provider bookkeeping fault, not an attack signal.
             tx.status = TX_REJECTED_STATE
-            self.events.append(
-                Event(height, EVENT_STATE_FAULT, tx.contract_address, tx.new_otp, tx.tx_id)
-            )
+            self._emit(EVENT_STATE_FAULT, tx, height)
             return
         if tx.prev_otp is not None:
             contract.last_used.discard(tx.prev_otp)
         contract.last_used.add(tx.new_otp)
         tx.status = TX_SUCCESS
-        self.events.append(
-            Event(height, EVENT_OTP_INSERTED, tx.contract_address, tx.new_otp, tx.tx_id)
-        )
+        self._emit(EVENT_OTP_INSERTED, tx, height)
 
     def seal_block(self) -> LedgerBlock:
         """Seal the next block: take pending txs FIFO up to the gas limit
@@ -286,7 +296,7 @@ class Ledger:
         included: list[LedgerTx] = []
         gas_total = 0
         while self._pending and gas_total + self._pending[0].gas_used <= self.profile.block_gas_limit:
-            tx = self._pending.pop(0)
+            tx = self._pending.popleft()
             gas_total += tx.gas_used
             included.append(tx)
 
@@ -294,10 +304,11 @@ class Ledger:
             self._execute(tx, height)
             tx.block_height = height
 
-        parent = self.blocks[-1].header.hash() if self.blocks else _GENESIS_PARENT
+        parent = self._headers[-1].hash() if self._headers else _GENESIS_PARENT
         root = tx_root_over([tx.tx_id for tx in included])
         block = LedgerBlock(height=height, parent_hash=parent, tx_root=root, txs=tuple(included))
         self.blocks.append(block)
+        self._headers.append(block.header)
 
         # Delayed deliveries become visible to the *next* seal.
         still_delayed: list[tuple[int, LedgerTx]] = []
@@ -313,14 +324,17 @@ class Ledger:
         tx = self._tx_index.get(tx_id)
         if tx is None or tx.block_height is None:
             raise LookupError("transaction not sealed in any block")
-        block = self.blocks[tx.block_height - 1]
-        tx_ids = [t.tx_id for t in block.txs]
-        tree = merkle.build_tree(_pad_to_pow2(tx_ids))
-        index = tx_ids.index(tx_id)
-        return InclusionProof(block_height=tx.block_height, merkle_proof=merkle.prove(tree, index))
+        tx_ids = [t.tx_id for t in self.blocks[tx.block_height - 1].txs]
+        if self._proof_tree is None or self._proof_tree[0] != tx.block_height:
+            self._proof_tree = (tx.block_height, merkle.build_tree(_pad_to_pow2(tx_ids)))
+        tree = self._proof_tree[1]
+        return InclusionProof(
+            block_height=tx.block_height, merkle_proof=merkle.prove(tree, tx_ids.index(tx_id))
+        )
 
     def events_for(self, contract_address: str) -> list[Event]:
-        return [e for e in self.events if e.contract_address == contract_address]
+        """The contract's events in chain order (a copy)."""
+        return list(self._events_by_contract.get(contract_address, ()))
 
     def dump_lines(self) -> list[str]:
         """Line-delimited chain dump, one block per line, canonical field order."""
@@ -348,13 +362,20 @@ class Ledger:
 
 
 def light_verify(
-    headers: Iterable[BlockHeader], tx: LedgerTx, proof: InclusionProof
+    headers: Sequence[BlockHeader], tx: LedgerTx, proof: InclusionProof
 ) -> bool:
     """Check a tx against stored headers only: the proof path must reach the
-    tx_root of the header at the claimed height."""
-    by_height = {h.height: h for h in headers}
-    header = by_height.get(proof.block_height)
-    if header is None:
+    tx_root of the header at the claimed height.
+
+    headers must be height-ordered from height 1, as Ledger.headers()
+    returns them; a prefix of that is a shorter header store. The claimed
+    height comes from the proof, so it is bounds-checked before the lookup.
+    """
+    height = proof.block_height
+    if not 1 <= height <= len(headers):
+        return False
+    header = headers[height - 1]
+    if header.height != height:
         return False
     return merkle.verify_proof(header.tx_root, tx.tx_id, proof.merkle_proof)
 

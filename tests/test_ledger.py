@@ -1,10 +1,13 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from chainotp import merkle
 from chainotp.crypto import digest
 from chainotp.ledger import (
+    BlockHeader,
     ChainProfile,
     DEPLOY_GAS,
     EVENT_MISUSE_ATTEMPT,
@@ -24,6 +27,8 @@ from chainotp.ledger import (
     tx_root_over,
 )
 from chainotp.wire import be64, pack_fields
+
+from support import World
 
 
 def otp(i: int) -> bytes:
@@ -184,6 +189,104 @@ def test_light_verify_truncated_header_store():
     truncated = full[:proof.block_height - 1]
     assert not light_verify(truncated, tx, proof)
     assert not light_verify((), tx, proof)
+
+
+def test_light_verify_rejects_heights_outside_the_store():
+    led, contract = fresh_ledger()
+    tx = led.submit_insert_otp(contract, otp(1))
+    led.seal_block()
+    led.seal_block()
+    proof = led.inclusion_proof(tx.tx_id)
+    headers = led.headers()
+    assert light_verify(headers, tx, proof)
+    # Height 0 must not wrap round to headers[-1], the tip.
+    for height in (0, len(headers) + 1, 2**64 - 1):
+        assert not light_verify(headers, tx, replace(proof, block_height=height))
+
+
+def test_light_verify_rejects_reordered_headers():
+    led, contract = fresh_ledger()
+    tx = led.submit_insert_otp(contract, otp(1))
+    led.seal_block()
+    led.seal_block()
+    proof = led.inclusion_proof(tx.tx_id)
+    h1, h2, h3 = led.headers()
+    assert proof.block_height == 2 and light_verify((h1, h2, h3), tx, proof)
+    swapped = (h1, h3, h2)
+    assert not light_verify(swapped, tx, proof)
+    # The tx's own header now sits at position 3, so a proof relabelled
+    # to height 3 would reach its tx_root; the stored height refuses it.
+    assert not light_verify(swapped, tx, replace(proof, block_height=3))
+
+
+def test_full_block_proofs_build_one_tree(monkeypatch):
+    led, contract = fresh_ledger()
+    rng = random.Random(0)
+    txs = [led.submit_insert_otp(contract, rng.randbytes(16)) for _ in range(625)]
+    block = led.seal_block()
+    assert len(block.txs) == 625 and not led.pending_count()
+    builds = []
+    build_tree = merkle.build_tree
+    monkeypatch.setattr(merkle, "build_tree", lambda leaves: builds.append(1) or build_tree(leaves))
+    headers = led.headers()
+    for tx in txs:
+        assert light_verify(headers, tx, led.inclusion_proof(tx.tx_id))
+    assert len(builds) == 1
+    # A proof for another block replaces the remembered tree, and coming
+    # back rebuilds this block's tree correctly.
+    deploy_tx = led.blocks[0].txs[0]
+    assert light_verify(headers, deploy_tx, led.inclusion_proof(deploy_tx.tx_id))
+    assert light_verify(headers, txs[-1], led.inclusion_proof(txs[-1].tx_id))
+    assert len(builds) == 3
+
+
+def test_login_builds_no_more_headers_on_a_deep_chain(monkeypatch):
+    world = World(seed=5)
+    member = world.enroll("user0")
+    built = []
+    init = BlockHeader.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockHeader, "__init__", counting_init)
+
+    def headers_built_by_login_at(height: int) -> int:
+        while world.ledger.height < height:
+            world.ledger.seal_block()
+        built.clear()
+        assert world.auth(member).granted
+        return len(built)
+
+    shallow = headers_built_by_login_at(10)
+    deep = headers_built_by_login_at(1000)
+    assert deep <= shallow
+
+
+def test_events_for_matches_filter_over_all_events():
+    led = Ledger()
+    reg_a, _ = led.deploy_registry("provider-a")
+    reg_b, _ = led.deploy_registry("provider-b")
+    led.seal_block()
+    rng = random.Random(3)
+    for step in range(40):
+        registry = rng.choice((reg_a, reg_b))
+        # Small OTP space: some writes are reuse, some name a missing prev.
+        led.submit_insert_otp(registry, otp(rng.randrange(6)),
+                              prev_otp=otp(rng.randrange(6)) if rng.random() < 0.3 else None)
+        if rng.random() < 0.5:
+            led.seal_block()
+    led.seal_block()
+    kinds = {e.kind for e in led.events}
+    assert kinds == {EVENT_OTP_INSERTED, EVENT_MISUSE_ATTEMPT, EVENT_STATE_FAULT}
+    for registry in (reg_a, reg_b):
+        expected = [e for e in led.events if e.contract_address == registry.address]
+        assert expected and led.events_for(registry.address) == expected
+    assert led.events_for("0xnowhere") == []
+    # A copy: callers cannot change the ledger's own record.
+    led.events_for(reg_a.address).clear()
+    assert led.events_for(reg_a.address)
 
 
 def test_inclusion_proof_unknown_tx_errors():
